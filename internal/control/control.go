@@ -419,11 +419,18 @@ func (c *Controller) tick() {
 	writes := c.writes.Value()
 	refused := c.refused.Value()
 
+	// The occupancy sensor runs outside c.mu, like every actuator: the
+	// server calls AdmitServer and BuilderFor under its own lock, so
+	// calling back into it under c.mu would invert the lock order.
 	c.mu.Lock()
+	act := c.acts.Active
+	c.mu.Unlock()
 	var active int64
-	if c.acts.Active != nil {
-		active = c.acts.Active()
+	if act != nil {
+		active = act()
 	}
+
+	c.mu.Lock()
 	win := obs.DeltaSnapshot(c.prevMargin, margin)
 	dWrites := writes - c.prevWrites
 	dRefused := refused - c.prevRefused

@@ -93,13 +93,12 @@ func runOverloadSoak(t testing.TB, adaptive bool, workers int, dur, perSession t
 	}
 
 	base := session.Config{
-		Solution:   builders[4],
-		Params:     p,
-		Transport:  res,
-		Clock:      clock,
-		Obs:        reg,
-		Buffer:     32,
-		TraceLimit: -1,
+		Solution:  builders[4],
+		Params:    p,
+		Transport: res,
+		Clock:     clock,
+		Obs:       reg,
+		Buffer:    32,
 	}
 	srvCfg, dlrCfg := base, base
 	srvCfg.MaxSessions = soakServerSlots

@@ -17,7 +17,8 @@ const (
 	EvSend EventKind = iota + 1
 	// EvRecv is a frame delivered into an endpoint (arg: packet seq).
 	EvRecv
-	// EvWrite is one message written to the output tape (arg: tape length).
+	// EvWrite is one message written to the output tape (arg: ticks since
+	// the session's previous write, or since its start for the first one).
 	EvWrite
 	// EvRetransmit is a reliability-layer retransmission (arg: attempt or seq).
 	EvRetransmit
@@ -77,7 +78,7 @@ type TraceEvent struct {
 	Kind EventKind `json:"-"`
 	// KindName renders Kind in JSON exports.
 	KindName string `json:"kind"`
-	// Arg is the kind-specific detail (packet seq, tape length, epoch).
+	// Arg is the kind-specific detail (packet seq, interwrite gap, epoch).
 	Arg int64 `json:"arg"`
 }
 

@@ -3,9 +3,8 @@ package session
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/ioa"
 	"repro/internal/wire"
 )
 
@@ -14,18 +13,13 @@ import (
 // fresh transmitter automaton over the shared transport. r->t frames
 // (acks, control traffic) are demultiplexed back to their session.
 type Dialer struct {
-	cfg    Config
-	sem    chan struct{}
-	done   chan struct{}
-	wg     sync.WaitGroup
-	seq    atomic.Int64
-	nextID atomic.Uint32
+	mux
+	sem chan struct{}
 
-	mu        sync.Mutex
-	active    map[uint32]*endpoint
-	finished  map[uint32]Report
-	stray     int // r->t frames with no active session
-	closeOnce sync.Once
+	// Guarded by mux.mu.
+	nextID   uint32          // last automatically allocated session ID
+	reserved map[uint32]bool // IDs taken by a Start still admitting or building
+	stray    int             // r->t frames with no active session
 }
 
 // NewDialer validates the config and starts the r->t demux loop.
@@ -35,45 +29,31 @@ func NewDialer(cfg Config) (*Dialer, error) {
 		return nil, err
 	}
 	d := &Dialer{
-		cfg:      cfg,
+		mux:      newMux(cfg),
 		sem:      make(chan struct{}, cfg.MaxSessions),
-		done:     make(chan struct{}),
-		active:   make(map[uint32]*endpoint),
-		finished: make(map[uint32]Report),
+		reserved: make(map[uint32]bool),
 	}
 	d.instrument(cfg.metrics)
-	d.wg.Add(1)
-	go d.demux()
+	d.demux(wire.RtoT, d.route)
 	return d, nil
 }
 
-func (d *Dialer) demux() {
-	defer d.wg.Done()
-	del := d.cfg.Transport.Deliveries(wire.RtoT)
-	for {
-		select {
-		case <-d.done:
-			return
-		case f, ok := <-del:
-			if !ok {
-				return
-			}
-			d.mu.Lock()
-			ep := d.active[f.Session]
-			if ep == nil {
-				d.stray++
-			}
-			d.mu.Unlock()
-			if ep != nil {
-				ep.deliver(f)
-			}
-		}
+// route delivers an r->t frame to its open session, counting it as stray
+// when there is none.
+func (d *Dialer) route(f wire.Frame) {
+	d.mu.Lock()
+	ep := d.active[f.Session]
+	if ep == nil {
+		d.stray++
+	}
+	d.mu.Unlock()
+	if ep != nil {
+		ep.deliver(f)
 	}
 }
 
 // Conn is one open transmitter-side session.
 type Conn struct {
-	d  *Dialer
 	ep *endpoint
 	x  []wire.Bit
 }
@@ -85,16 +65,13 @@ func (c *Conn) ID() uint32 { return c.ep.id }
 func (c *Conn) X() []wire.Bit { return append([]wire.Bit(nil), c.x...) }
 
 // Report snapshots the transmitter endpoint.
-func (c *Conn) Report() Report { return c.ep.snapshot(true) }
+func (c *Conn) Report() Report { return c.ep.snapshot() }
 
-// Close stops the session's loop, waits for it to exit and releases its
-// backpressure slot. Idempotent.
+// Close stops the session's loop and waits for it to retire, which
+// releases its backpressure slot. Idempotent.
 func (c *Conn) Close() {
 	c.ep.halt()
-	select {
-	case <-c.ep.stopped:
-	case <-c.d.done:
-	}
+	<-c.ep.stopped
 }
 
 // Start opens a new session for input x. It blocks while MaxSessions
@@ -125,23 +102,43 @@ func (d *Dialer) start(ctx context.Context, id uint32, x []wire.Bit) (*Conn, err
 	case <-d.done:
 		return nil, fmt.Errorf("session: dialer closed")
 	}
+	release := func() { <-d.sem }
+	// Allocate or claim the ID and reserve it in one critical section, so
+	// two concurrent StartIDs under one ID cannot both pass the check.
+	d.mu.Lock()
 	if id == 0 {
-		id = d.nextID.Add(1)
-	} else {
-		for {
-			cur := d.nextID.Load()
-			if cur >= id || d.nextID.CompareAndSwap(cur, id) {
-				break
-			}
-		}
-		d.mu.Lock()
-		_, open := d.active[id]
-		d.mu.Unlock()
-		if open {
-			<-d.sem
-			return nil, fmt.Errorf("session: session %d already open", id)
-		}
+		d.nextID++
+		id = d.nextID
+	} else if id > d.nextID {
+		d.nextID = id
 	}
+	if d.active[id] != nil || d.reserved[id] {
+		d.mu.Unlock()
+		release()
+		return nil, fmt.Errorf("session: session %d already open", id)
+	}
+	d.reserved[id] = true
+	d.mu.Unlock()
+
+	t, err := d.admit(ctx, id, x)
+	d.mu.Lock()
+	delete(d.reserved, id)
+	var ep *endpoint
+	if err == nil {
+		ep = newEndpoint(d.cfg, id, "transmitter", t, &d.seq)
+		d.runLocked(ep, false, release)
+	}
+	d.mu.Unlock()
+	if err != nil {
+		release()
+		return nil, err
+	}
+	return &Conn{ep: ep, x: append([]wire.Bit(nil), x...)}, nil
+}
+
+// admit runs the control plane's admission for a reserved ID and builds
+// the session's transmitter automaton.
+func (d *Dialer) admit(ctx context.Context, id uint32, x []wire.Bit) (ioa.Automaton, error) {
 	// The control plane sees every admission after its slot and ID are
 	// settled: Admit may sleep (pacing) or refuse, and it records the
 	// per-session builder BuilderFor serves to both sides below. Pacing
@@ -149,35 +146,11 @@ func (d *Dialer) start(ctx context.Context, id uint32, x []wire.Bit) (*Conn, err
 	// work in flight, not a queue jump waiting to happen.
 	if d.cfg.Admission != nil {
 		if err := d.cfg.Admission.Admit(ctx, id); err != nil {
-			<-d.sem
 			return nil, err
 		}
 	}
 	t, _, err := buildPair(d.cfg, id, x)
-	if err != nil {
-		<-d.sem
-		return nil, err
-	}
-	ep := newEndpoint(d.cfg, id, "transmitter", t, &d.seq)
-	d.mu.Lock()
-	d.active[id] = ep
-	d.mu.Unlock()
-	d.wg.Add(1)
-	go func() {
-		defer d.wg.Done()
-		ep.loop(d.done, false)
-		ep.markFinished()
-		rep := ep.snapshot(true)
-		d.mu.Lock()
-		delete(d.active, id)
-		d.finished[id] = rep
-		d.mu.Unlock()
-		if d.cfg.Admission != nil {
-			d.cfg.Admission.Forget(id)
-		}
-		<-d.sem
-	}()
-	return &Conn{d: d, ep: ep, x: append([]wire.Bit(nil), x...)}, nil
+	return t, err
 }
 
 // InFlight returns the number of currently open sessions.
@@ -194,35 +167,7 @@ func (d *Dialer) Stray() int {
 	return d.stray
 }
 
-// Reports returns a report per session the dialer has ever opened.
-func (d *Dialer) Reports() []Report {
-	d.mu.Lock()
-	eps := make([]*endpoint, 0, len(d.active))
-	out := make([]Report, 0, len(d.finished)+len(d.active))
-	for _, rep := range d.finished {
-		out = append(out, rep)
-	}
-	for _, ep := range d.active {
-		eps = append(eps, ep)
-	}
-	d.mu.Unlock()
-	for _, ep := range eps {
-		out = append(out, ep.snapshot(true))
-	}
-	return out
-}
-
 // Aggregate sums counters across every session opened so far.
 func (d *Dialer) Aggregate() Aggregate {
 	return aggregate(d.cfg, d.Reports(), 0, 0, 0)
-}
-
-// Close stops the demux loop and every open session, then waits for
-// them. It does not close the transport (the caller owns it).
-func (d *Dialer) Close() error {
-	d.closeOnce.Do(func() {
-		close(d.done)
-		d.wg.Wait()
-	})
-	return nil
 }

@@ -266,8 +266,7 @@ func (s *Server) liveEffort() (mean, max float64) {
 }
 
 // LiveSessions snapshots every active receiver session into the live
-// introspection table. Light snapshots only — no traces, no tape copies
-// beyond what Report already takes.
+// introspection table.
 func (s *Server) LiveSessions() []LiveSession {
 	s.mu.Lock()
 	eps := make([]*endpoint, 0, len(s.active))
@@ -278,7 +277,7 @@ func (s *Server) LiveSessions() []LiveSession {
 	now := s.cfg.Clock.Now()
 	out := make([]LiveSession, 0, len(eps))
 	for _, ep := range eps {
-		rep := ep.snapshot(false)
+		rep := ep.snapshot()
 		ls := LiveSession{
 			ID: rep.ID, Role: rep.Role,
 			Sends: rep.Sends, Writes: rep.Writes,

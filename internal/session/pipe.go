@@ -3,10 +3,7 @@ package session
 import (
 	"context"
 	"fmt"
-	"sort"
 
-	"repro/internal/sim"
-	"repro/internal/timed"
 	"repro/internal/wire"
 )
 
@@ -102,8 +99,8 @@ func (p *Pipe) transfer(ctx context.Context, id uint32, x []wire.Bit) (TransferR
 	rx, waitErr := p.Server.WaitWrites(ctx, conn.ID(), len(x))
 	conn.Close()
 	res.TX = conn.Report()
-	// Evict the receiver session and take its final report, which
-	// includes the trace (WaitWrites returns a light snapshot).
+	// Evict the receiver session and take its final report: WaitWrites
+	// returned a live one, and Evict returns once the slot is free.
 	if final, ok := p.Server.Evict(conn.ID()); ok {
 		rx = final
 	}
@@ -111,58 +108,6 @@ func (p *Pipe) transfer(ctx context.Context, id uint32, x []wire.Bit) (TransferR
 	res.Violation = PrefixCheck(x, rx.Y)
 	res.Completed = res.Violation == "" && rx.Writes == len(x)
 	return res, waitErr
-}
-
-// SessionRun merges a result's transmitter and receiver traces into one
-// sim.Run-compatible timed execution, times shifted to the session's
-// start, so the simulator's statistics machinery (sim.Collect) applies
-// unchanged to served sessions.
-func (p *Pipe) SessionRun(res TransferResult) *sim.Run {
-	events := make([]timed.Event, 0, len(res.TX.Trace)+len(res.RX.Trace))
-	events = append(events, res.TX.Trace...)
-	events = append(events, res.RX.Trace...)
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].Time != events[j].Time {
-			return events[i].Time < events[j].Time
-		}
-		return events[i].Seq < events[j].Seq
-	})
-	t0 := res.TX.Start
-	if res.RX.Start != 0 && res.RX.Start < t0 {
-		t0 = res.RX.Start
-	}
-	run := &sim.Run{Reason: sim.StopCondition}
-	for i := range events {
-		e := events[i]
-		e.Time -= t0
-		e.Seq = int64(i)
-		switch e.Action.(type) {
-		case wire.Send:
-			run.SendCount++
-		case wire.Write:
-			run.WriteCount++
-		}
-		if e.Time > run.Now {
-			run.Now = e.Time
-		}
-		run.Trace = append(run.Trace, e)
-	}
-	return run
-}
-
-// SessionStats computes the simulator's per-run statistics over a served
-// session's merged trace.
-func (p *Pipe) SessionStats(res TransferResult) sim.Stats {
-	return sim.Collect(p.SessionRun(res), res.TX.Role2Actor(), res.RX.Role2Actor())
-}
-
-// Role2Actor maps the endpoint's role to the trace actor name used by
-// the protocol automata ("t" for transmitters, "r" for receivers).
-func (r Report) Role2Actor() string {
-	if r.Role == "transmitter" {
-		return "t"
-	}
-	return "r"
 }
 
 // Close tears down the dialer, the server, and then the transport.

@@ -277,6 +277,52 @@ func TestStartIDCollisionAndAllocator(t *testing.T) {
 	conn.Close()
 }
 
+// TestStartIDConcurrentSameID races many StartIDs under one ID: the
+// check and the reservation happen under one lock, so exactly one wins,
+// and every loser gives its backpressure slot back.
+func TestStartIDConcurrentSameID(t *testing.T) {
+	sol := mustBeta(t, 4)
+	cfg, mem := memConfig(t, sol, nil)
+	dlr, err := NewDialer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mem.Close()
+	defer dlr.Close()
+	x := inputFor(t, sol, 1, 3)
+	const racers = 16
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		conns []*Conn
+	)
+	start := make(chan struct{})
+	for i := 0; i < racers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if c, err := dlr.StartID(context.Background(), 42, x); err == nil {
+				mu.Lock()
+				conns = append(conns, c)
+				mu.Unlock()
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if len(conns) != 1 {
+		t.Fatalf("%d StartIDs under one ID succeeded, want exactly 1", len(conns))
+	}
+	if n := dlr.InFlight(); n != 1 {
+		t.Fatalf("in flight %d, want 1", n)
+	}
+	conns[0].Close()
+	if n := len(dlr.sem); n != 0 {
+		t.Fatalf("%d backpressure slots still held after every session closed", n)
+	}
+}
+
 // TestResumedMetric checks the observability wiring: a restarted
 // session increments rstp_sessions_resumed_total.
 func TestResumedMetric(t *testing.T) {

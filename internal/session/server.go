@@ -3,8 +3,6 @@ package session
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/wire"
@@ -14,19 +12,12 @@ import (
 // session ID, spawns a fresh receiver automaton per new session, drives
 // each off the shared clock, and evicts sessions that go idle.
 type Server struct {
-	cfg  Config
-	done chan struct{}
-	wg   sync.WaitGroup
-	seq  atomic.Int64
+	mux
 
-	mu        sync.Mutex
-	active    map[uint32]*endpoint
-	finished  map[uint32]Report
-	retiring  map[uint32]bool // shed victims between slot release and retirement
-	refused   int             // frames of new sessions dropped at the MaxSessions cap
-	late      int             // frames of already-finished sessions dropped at the tombstone
-	shed      int             // sessions force-retired by the overload policy
-	closeOnce sync.Once
+	// Guarded by mux.mu.
+	refused int // frames of new sessions dropped at the MaxSessions cap
+	late    int // frames of already-finished sessions dropped at the tombstone
+	shed    int // sessions force-retired by the overload policy
 }
 
 // NewServer validates the config and starts the demux loop.
@@ -35,84 +26,32 @@ func NewServer(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{
-		cfg:      cfg,
-		done:     make(chan struct{}),
-		active:   make(map[uint32]*endpoint),
-		finished: make(map[uint32]Report),
-		retiring: make(map[uint32]bool),
-	}
+	s := &Server{mux: newMux(cfg)}
 	s.instrument(cfg.metrics)
-	s.wg.Add(1)
-	go s.demux()
+	s.demux(wire.TtoR, s.route)
 	return s, nil
 }
 
-// demux routes every delivered t->r frame to its session's inbox,
-// spawning receiver sessions on first contact.
-func (s *Server) demux() {
-	defer s.wg.Done()
-	del := s.cfg.Transport.Deliveries(wire.TtoR)
-	for {
-		select {
-		case <-s.done:
-			return
-		case f, ok := <-del:
-			if !ok {
-				return
-			}
-			s.route(f)
-		}
-	}
-}
-
+// route delivers a t->r frame to its session, spawning receiver state on
+// first contact.
 func (s *Server) route(f wire.Frame) {
 	s.mu.Lock()
 	ep := s.active[f.Session]
 	if ep == nil {
-		// The finished map doubles as a tombstone set: frames of a
-		// retired session can still be in flight (retransmissions up to D
-		// ticks behind the eviction) and must not re-spawn a ghost
-		// receiver under the same ID — a ghost would pin a MaxSessions
-		// slot until idle eviction (forever with IdleTicks disabled) and
-		// shadow the real session's report.
-		if _, done := s.finished[f.Session]; done {
+		// Retired and retiring IDs are tombstoned: frames of a retired
+		// session can still be in flight (retransmissions up to D ticks
+		// behind the eviction) and must not re-spawn a ghost receiver
+		// under the same ID — a ghost would pin a MaxSessions slot until
+		// idle eviction (forever with IdleTicks disabled) and shadow the
+		// real session's report. A force-retired session's slot frees
+		// before its report lands in finished, so retiring covers the gap.
+		if _, done := s.finished[f.Session]; done || s.retiring[f.Session] {
 			s.late++
 			s.mu.Unlock()
 			s.cfg.metrics.onLate(s.cfg.Clock.Now(), f.Session)
 			return
 		}
-		// A shed victim's slot is already free but its report is not in
-		// finished yet (its goroutine is still winding down): without this
-		// check an in-flight frame would respawn a ghost under the same ID
-		// and shadow the real report.
-		if s.retiring[f.Session] {
-			s.late++
-			s.mu.Unlock()
-			s.cfg.metrics.onLate(s.cfg.Clock.Now(), f.Session)
-			return
-		}
-		// The control plane's refuse gate runs before the capacity check:
-		// at the escalation ladder's refuse level and above, brand-new
-		// sessions are turned away even while slots remain, so the server
-		// sheds *load* before it ever has to shed *sessions*.
-		if s.cfg.Admission != nil && !s.cfg.Admission.AdmitServer(f.Session) {
-			s.refused++
-			s.mu.Unlock()
-			s.cfg.metrics.onRefuse(s.cfg.Clock.Now(), f.Session)
-			return
-		}
-		if len(s.active) >= s.cfg.MaxSessions {
-			if s.cfg.Shed != ShedEvictOldestIdle || !s.shedOldestLocked() {
-				s.refused++
-				s.mu.Unlock()
-				s.cfg.metrics.onRefuse(s.cfg.Clock.Now(), f.Session)
-				return
-			}
-		}
-		var err error
-		ep, err = s.spawnLocked(f.Session)
-		if err != nil {
+		if ep = s.spawnLocked(f.Session); ep == nil {
 			s.refused++
 			s.mu.Unlock()
 			s.cfg.metrics.onRefuse(s.cfg.Clock.Now(), f.Session)
@@ -124,13 +63,25 @@ func (s *Server) route(f wire.Frame) {
 }
 
 // spawnLocked builds a receiver endpoint for a new session and starts its
-// loop. Callers hold s.mu.
-func (s *Server) spawnLocked(id uint32) (*endpoint, error) {
+// loop, or returns nil when the session is refused: by the control plane,
+// at the MaxSessions cap (unless the shed policy frees a slot), or because
+// its pair cannot be built. Callers hold s.mu.
+func (s *Server) spawnLocked(id uint32) *endpoint {
+	// The control plane's refuse gate runs before the capacity check: at
+	// the escalation ladder's refuse level and above, brand-new sessions
+	// are turned away even while slots remain, so the server sheds *load*
+	// before it ever has to shed *sessions*.
+	if s.cfg.Admission != nil && !s.cfg.Admission.AdmitServer(id) {
+		return nil
+	}
+	if len(s.active) >= s.cfg.MaxSessions && (s.cfg.Shed != ShedEvictOldestIdle || !s.shedOldestLocked()) {
+		return nil
+	}
 	// The pair builder needs an input only for the transmitter half,
 	// which the server discards; the receiver starts empty.
 	_, r, err := buildPair(s.cfg, id, nil)
 	if err != nil {
-		return nil, fmt.Errorf("session: server pair for session %d: %w", id, err)
+		return nil
 	}
 	ep := newEndpoint(s.cfg, id, "receiver", r, &s.seq)
 	if s.cfg.Store != nil {
@@ -144,60 +95,46 @@ func (s *Server) spawnLocked(id uint32) (*endpoint, error) {
 			s.cfg.metrics.onResume()
 		}
 	}
-	s.active[id] = ep
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		ep.loop(s.done, true)
-		ep.markFinished()
-		s.retire(ep)
-	}()
-	return ep, nil
+	s.runLocked(ep, true, nil)
+	return ep
 }
 
-// retire moves an exited session from the active map to the finished
-// reports. An already-recorded report for the ID is never overwritten —
-// the first retirement under an ID is the authoritative one.
-func (s *Server) retire(ep *endpoint) {
-	rep := ep.snapshot(true)
-	s.mu.Lock()
-	delete(s.active, ep.id)
-	delete(s.retiring, ep.id)
-	if _, ok := s.finished[ep.id]; !ok {
-		s.finished[ep.id] = rep
-	}
-	s.mu.Unlock()
-	if s.cfg.Admission != nil {
-		s.cfg.Admission.Forget(ep.id)
-	}
-}
-
-// shedOldestLocked force-retires the active session that has gone
-// longest without traffic, freeing its slot for a newcomer. Callers hold
-// s.mu; returns false when there is nothing safe to shed. The victim's
-// slot is released immediately — its goroutine retires it in the
-// background, with the retiring set holding the tombstone until the
-// report lands in finished.
-func (s *Server) shedOldestLocked() bool {
+// retireOldestLocked force-retires the active session whose key (read
+// under its endpoint lock) is smallest, after mark records the cause.
+// The victim's slot is released immediately — its goroutine retires it
+// in the background, with the retiring set holding the tombstone until
+// the report lands in finished. Callers hold s.mu; returns false when no
+// session is active.
+func (s *Server) retireOldestLocked(key func(*endpoint) int64, mark func(*endpoint)) bool {
 	var (
 		victim *endpoint
 		oldest int64
 	)
 	for _, ep := range s.active {
 		ep.mu.Lock()
-		la := ep.lastActivity
+		k := key(ep)
 		ep.mu.Unlock()
-		if victim == nil || la < oldest {
-			victim, oldest = ep, la
+		if victim == nil || k < oldest {
+			victim, oldest = ep, k
 		}
 	}
 	if victim == nil {
 		return false
 	}
-	victim.markShed()
-	victim.halt()
 	delete(s.active, victim.id)
 	s.retiring[victim.id] = true
+	mark(victim)
+	victim.halt()
+	return true
+}
+
+// shedOldestLocked force-retires the active session that has gone
+// longest without traffic, freeing its slot for a newcomer. Callers hold
+// s.mu; returns false when there is nothing to shed.
+func (s *Server) shedOldestLocked() bool {
+	if !s.retireOldestLocked(func(ep *endpoint) int64 { return ep.lastActivity }, (*endpoint).markShed) {
+		return false
+	}
 	s.shed++
 	return true
 }
@@ -220,35 +157,8 @@ func (s *Server) ShedOldest() bool {
 // tombstone. Returns false when no session is active.
 func (s *Server) RetireStalled() bool {
 	s.mu.Lock()
-	var (
-		victim *endpoint
-		oldest int64
-	)
-	for _, ep := range s.active {
-		ep.mu.Lock()
-		lp := ep.lastProgress
-		ep.mu.Unlock()
-		if victim == nil || lp < oldest {
-			victim, oldest = ep, lp
-		}
-	}
-	if victim == nil {
-		s.mu.Unlock()
-		return false
-	}
-	delete(s.active, victim.id)
-	s.retiring[victim.id] = true
-	s.mu.Unlock()
-	victim.markWedged()
-	victim.halt()
-	return true
-}
-
-// lookup returns the active endpoint for a session, if any.
-func (s *Server) lookup(id uint32) *endpoint {
-	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.active[id]
+	return s.retireOldestLocked(func(ep *endpoint) int64 { return ep.lastProgress }, (*endpoint).markWedged)
 }
 
 // ActiveCount returns the number of currently live receiver sessions —
@@ -261,32 +171,8 @@ func (s *Server) ActiveCount() int {
 
 // Snapshot returns the current report for a session — active or finished.
 func (s *Server) Snapshot(id uint32) (Report, bool) {
-	if ep := s.lookup(id); ep != nil {
-		return ep.snapshot(true), true
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rep, ok := s.finished[id]
+	rep, _, ok := s.report(id)
 	return rep, ok
-}
-
-// Reports returns a report per session the server has ever run, finished
-// sessions first.
-func (s *Server) Reports() []Report {
-	s.mu.Lock()
-	eps := make([]*endpoint, 0, len(s.active))
-	out := make([]Report, 0, len(s.finished)+len(s.active))
-	for _, rep := range s.finished {
-		out = append(out, rep)
-	}
-	for _, ep := range s.active {
-		eps = append(eps, ep)
-	}
-	s.mu.Unlock()
-	for _, ep := range eps {
-		out = append(out, ep.snapshot(true))
-	}
-	return out
 }
 
 // Refused counts frames dropped because a new session would have
@@ -314,30 +200,13 @@ func (s *Server) Shed() int {
 }
 
 // WaitWrites blocks until session id has written at least n messages,
-// returning its light report. It tolerates the session not existing yet
+// returning its report. It tolerates the session not existing yet
 // (frames may still be in flight).
 func (s *Server) WaitWrites(ctx context.Context, id uint32, n int) (Report, error) {
 	poll := time.NewTicker(2 * time.Millisecond)
 	defer poll.Stop()
 	for {
-		var (
-			rep    Report
-			known  bool
-			notify chan struct{}
-		)
-		if ep := s.lookup(id); ep != nil {
-			rep = ep.snapshot(false)
-			known = true
-			notify = ep.notify
-		} else if r, ok := func() (Report, bool) {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			r, ok := s.finished[id]
-			return r, ok
-		}(); ok {
-			rep = r
-			known = true
-		}
+		rep, notify, known := s.report(id)
 		if known && rep.Writes >= n {
 			return rep, nil
 		}
@@ -359,43 +228,19 @@ func (s *Server) WaitWrites(ctx context.Context, id uint32, n int) (Report, erro
 }
 
 // Evict stops a session's endpoint (if active) and waits for it to
-// retire, returning its final report.
+// retire, returning its final report. The session's slot is free by the
+// time Evict returns.
 func (s *Server) Evict(id uint32) (Report, bool) {
-	ep := s.lookup(id)
-	if ep == nil {
-		s.mu.Lock()
-		rep, ok := s.finished[id]
-		s.mu.Unlock()
-		return rep, ok
+	if ep := s.lookup(id); ep != nil {
+		ep.halt()
+		<-ep.stopped
 	}
-	ep.halt()
-	select {
-	case <-ep.stopped:
-	case <-s.done:
-	}
-	s.mu.Lock()
-	rep, ok := s.finished[id]
-	s.mu.Unlock()
-	if !ok {
-		// Retirement may still be in flight; fall back to a live snapshot.
-		return ep.snapshot(true), true
-	}
-	return rep, ok
+	return s.Snapshot(id)
 }
 
 // Aggregate sums counters across every session seen so far.
 func (s *Server) Aggregate() Aggregate {
 	return aggregate(s.cfg, s.Reports(), s.Refused(), s.Late(), s.Shed())
-}
-
-// Close stops the demux loop and every session goroutine, then waits for
-// them. It does not close the transport (the caller owns it).
-func (s *Server) Close() error {
-	s.closeOnce.Do(func() {
-		close(s.done)
-		s.wg.Wait()
-	})
-	return nil
 }
 
 // Aggregate sums per-session counters into one serving-side view.

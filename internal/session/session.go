@@ -19,8 +19,14 @@
 //   - one goroutine per session endpoint, owning its automaton: all
 //     Apply/NextLocal calls happen there, serialised with incoming frames
 //     through a select loop;
-//   - counters and traces guarded by a per-endpoint mutex, snapshotted
-//     into immutable Reports for readers.
+//   - counters guarded by a per-endpoint mutex, snapshotted into
+//     immutable Reports for readers; the only per-session event trace is
+//     the registry's bounded, opt-in obs.Tracer ring (Config.Obs).
+//
+// Both sides share one lifecycle (mux): an endpoint's goroutine retires
+// it — report recorded, slot freed, control plane told — before the
+// endpoint counts as stopped, so Server.Evict and Conn.Close return with
+// the slot already free.
 //
 // Backpressure is a Dialer-side semaphore of MaxSessions slots (Start
 // blocks until a slot frees or the context is done); the Server
@@ -40,7 +46,6 @@ import (
 	"repro/internal/ioa"
 	"repro/internal/obs"
 	"repro/internal/rstp"
-	"repro/internal/timed"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -181,10 +186,6 @@ type Config struct {
 	// Buffer is the per-session inbox capacity (default 64). A full inbox
 	// drops frames — the mux never blocks its demux loop on one session.
 	Buffer int
-	// TraceLimit caps the per-session recorded event trace used for
-	// per-session statistics (default 8192 events; <0 disables tracing).
-	// Events past the cap are counted, not recorded.
-	TraceLimit int
 	// Shed selects the Server's overload policy at the MaxSessions
 	// high-water mark (default ShedRefuse).
 	Shed ShedPolicy
@@ -264,9 +265,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Buffer <= 0 {
 		c.Buffer = 64
 	}
-	if c.TraceLimit == 0 {
-		c.TraceLimit = 8192
-	}
 	if c.WatchdogTicks <= 0 && c.WatchdogK > 0 {
 		c.WatchdogTicks = int64(c.WatchdogK) * int64(c.Params.Delta1()) * c.Params.C2
 	}
@@ -318,11 +316,6 @@ func decodeTape(data []byte) []wire.Bit {
 	return y
 }
 
-// eventSeq orders recorded trace events across all endpoints, so merged
-// per-session traces sort causally (a recv is always recorded after its
-// send).
-var eventSeq atomic.Int64
-
 // Report is an immutable snapshot of one session endpoint.
 type Report struct {
 	// ID is the session ID.
@@ -363,10 +356,6 @@ type Report struct {
 	Resyncs int
 	// Finished reports the endpoint's goroutine has exited.
 	Finished bool
-	// Trace is the recorded event trace (nil for light snapshots or when
-	// tracing is disabled); TraceDropped counts events past TraceLimit.
-	Trace        []timed.Event
-	TraceDropped int
 }
 
 // Effort is the endpoint-local effort estimate (LastSend-Start)/Writes —
@@ -394,7 +383,7 @@ func PrefixCheck(x, y []wire.Bit) string {
 
 // endpoint is one side of one session: an automaton, its inbox, and its
 // counters. The loop goroutine owns the automaton; the mutex guards only
-// the counters and trace.
+// the counters.
 type endpoint struct {
 	id      uint32
 	role    string
@@ -406,7 +395,7 @@ type endpoint struct {
 
 	in      chan wire.Frame
 	stop    chan struct{}
-	stopped chan struct{} // closed when the loop has exited
+	stopped chan struct{} // closed once the endpoint has exited and retired
 	notify  chan struct{} // pulsed on every write
 	stopOne sync.Once
 
@@ -425,8 +414,6 @@ type endpoint struct {
 	lastProgress int64 // tick of the last output write (watchdog clock)
 	y            []wire.Bit
 	resumed      int // messages preloaded from a persisted tape at spawn
-	trace        []timed.Event
-	traceDropped int
 	evicted      bool
 	wedged       bool
 	shed         bool
@@ -510,25 +497,10 @@ func (e *endpoint) deliver(f wire.Frame) {
 	}
 }
 
-// record appends a trace event under the configured cap. Callers hold e.mu.
-func (e *endpoint) record(t int64, actor string, act ioa.Action, pktSeq int64) {
-	if e.cfg.TraceLimit < 0 {
-		return
-	}
-	if len(e.trace) >= e.cfg.TraceLimit {
-		e.traceDropped++
-		return
-	}
-	e.trace = append(e.trace, timed.Event{
-		Time: t, Seq: eventSeq.Add(1), Actor: actor, Action: act, PacketSeq: pktSeq,
-	})
-}
-
 // loop drives the endpoint: one local protocol step per StepGap ticks,
 // frames applied as they arrive, idle eviction for receivers. ownerDone
 // is the owning Server/Dialer's shutdown signal.
 func (e *endpoint) loop(ownerDone <-chan struct{}, evictIdle bool) {
-	defer close(e.stopped)
 	ticker := time.NewTicker(e.cfg.Clock.Ticks(e.cfg.StepGap))
 	defer ticker.Stop()
 	for {
@@ -590,10 +562,8 @@ func (e *endpoint) watchdog() bool {
 			return true
 		}
 	}
-	e.wedged = true
-	silent := now - e.lastProgress
 	e.mu.Unlock()
-	e.cfg.metrics.onWedge(now, e.id, silent)
+	e.markWedged()
 	return false
 }
 
@@ -620,7 +590,6 @@ func (e *endpoint) onFrame(f wire.Frame) {
 	}
 	e.mu.Lock()
 	e.deliveries++
-	e.record(now, "chan", act, f.Seq)
 	e.mu.Unlock()
 	e.cfg.metrics.onRecv(now, e.id, f.Seq)
 }
@@ -645,7 +614,7 @@ func (e *endpoint) step() bool {
 	now := e.cfg.Clock.Now()
 	switch a := act.(type) {
 	case wire.Send:
-		pktSeq := e.seq.Add(1)*2 + e.side // disjoint seq ranges per side
+		pktSeq := e.seq.Add(1)*2 + e.side // seqs never collide across sides
 		err := e.cfg.Transport.Send(wire.Frame{Session: e.id, Dir: a.Dir, Seq: pktSeq, P: a.P, Payload: []byte(a.Payload)})
 		e.mu.Lock()
 		e.sends++
@@ -654,7 +623,6 @@ func (e *endpoint) step() bool {
 			e.sendErrs++
 			e.lastErr = err
 		}
-		e.record(now, e.auto.Name(), act, pktSeq)
 		e.mu.Unlock()
 		e.cfg.metrics.onSend(now, e.id, pktSeq)
 		if err != nil {
@@ -674,7 +642,6 @@ func (e *endpoint) step() bool {
 		e.writes++
 		e.lastWrite = now
 		e.lastProgress = now
-		e.record(now, e.auto.Name(), act, 0)
 		var tape []byte
 		if e.tapeKey != "" {
 			tape = encodeTape(e.y)
@@ -692,17 +659,13 @@ func (e *endpoint) step() bool {
 		case e.notify <- struct{}{}:
 		default:
 		}
-	default:
-		e.mu.Lock()
-		e.record(now, e.auto.Name(), act, 0)
-		e.mu.Unlock()
 	}
 	return true
 }
 
-// snapshot captures the endpoint's counters; withTrace also copies the
-// recorded trace and output tape.
-func (e *endpoint) snapshot(withTrace bool) Report {
+// snapshot captures the endpoint's counters and a copy of its output
+// tape.
+func (e *endpoint) snapshot() Report {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	r := Report{
@@ -713,21 +676,17 @@ func (e *endpoint) snapshot(withTrace bool) Report {
 		LastSend:   e.lastSend, LastWrite: e.lastWrite,
 		Resumed: e.resumed,
 		Evicted: e.evicted, Wedged: e.wedged, Shed: e.shed, Resyncs: e.resyncs,
-		Finished:     e.finished,
-		TraceDropped: e.traceDropped,
+		Finished: e.finished,
+		Y:        append([]wire.Bit(nil), e.y...),
 	}
 	if e.lastErr != nil {
 		r.Err = e.lastErr.Error()
 	}
-	r.Y = append([]wire.Bit(nil), e.y...)
-	if withTrace {
-		r.Trace = append([]timed.Event(nil), e.trace...)
-	}
 	return r
 }
 
-// markFinished flags the endpoint's loop as exited (set by the owner
-// right after the goroutine returns).
+// markFinished flags the endpoint's loop as exited (set by its goroutine
+// right before retirement).
 func (e *endpoint) markFinished() {
 	e.mu.Lock()
 	e.finished = true

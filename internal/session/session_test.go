@@ -189,38 +189,6 @@ func TestConcurrentSessionsAllComplete(t *testing.T) {
 	}
 }
 
-// TestStatsReuse pins the sim/stats reuse: a served session's merged
-// trace must feed sim.Collect and produce consistent counters.
-func TestStatsReuse(t *testing.T) {
-	sol := mustBeta(t, 4)
-	cfg, _ := memConfig(t, sol, nil)
-	pipe, err := NewPipe(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pipe.Close()
-	x := inputFor(t, sol, 2, 3)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	res, err := pipe.Transfer(ctx, x)
-	if err != nil || !res.Completed {
-		t.Fatalf("transfer: %v (completed=%v)", err, res.Completed)
-	}
-	st := pipe.SessionStats(res)
-	if st.Writes != len(x) {
-		t.Errorf("stats writes %d, want %d", st.Writes, len(x))
-	}
-	if st.SendsTR != res.TX.Sends {
-		t.Errorf("stats t->r sends %d, endpoint counted %d", st.SendsTR, res.TX.Sends)
-	}
-	if st.Recvs == 0 || st.MinDelay < 0 {
-		t.Errorf("delay stats missing: %+v", st)
-	}
-	if st.EffortPerMessage <= 0 {
-		t.Errorf("effort per message %v", st.EffortPerMessage)
-	}
-}
-
 func TestDialerBackpressure(t *testing.T) {
 	sol := mustBeta(t, 4)
 	cfg, _ := memConfig(t, sol, nil)
@@ -332,6 +300,43 @@ func TestServerMaxSessionsRefusesNew(t *testing.T) {
 	}
 	if _, ok := srv.Snapshot(2); ok {
 		t.Fatal("session 2 spawned past MaxSessions = 1")
+	}
+}
+
+// TestEvictFreesSlotBeforeReturn pins the retirement order: Evict and
+// Conn.Close return only after the endpoint has retired, so back-to-back
+// transfers under a one-session cap always find the slot free — a slot
+// still held would make the server refuse the next session's frames.
+func TestEvictFreesSlotBeforeReturn(t *testing.T) {
+	sol := mustBeta(t, 4)
+	cfg, _ := memConfig(t, sol, nil)
+	cfg.MaxSessions = 1
+	cfg.IdleTicks = -1
+	pipe, err := NewPipe(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pipe.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	const transfers = 300
+	for i := 0; i < transfers; i++ {
+		res, err := pipe.Transfer(ctx, inputFor(t, sol, 1, int64(i+1)))
+		if err != nil || !res.Completed {
+			t.Fatalf("transfer %d: %v (completed=%v)", i, err, res.Completed)
+		}
+		if !res.RX.Finished {
+			t.Fatalf("transfer %d: Evict returned an unfinished receiver report", i)
+		}
+		if n := pipe.Server.ActiveCount(); n != 0 {
+			t.Fatalf("transfer %d: %d receiver sessions still active after Evict", i, n)
+		}
+		if n := pipe.Dialer.InFlight(); n != 0 {
+			t.Fatalf("transfer %d: %d transmitter sessions still open after Close", i, n)
+		}
+	}
+	if n := pipe.Server.Refused(); n != 0 {
+		t.Fatalf("%d frames refused at the one-session cap", n)
 	}
 }
 
