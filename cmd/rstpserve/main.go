@@ -91,7 +91,6 @@ type summary struct {
 	Writes         int              `json:"writes"`
 	Refused        int              `json:"refused"`
 	Late           int              `json:"late"`
-	Overflow       int              `json:"overflow"`
 	Stray          int              `json:"stray"`
 	Faults         string           `json:"faults,omitempty"`
 	// Resilience-layer counters (PR 4; see EXPERIMENTS.md E20).
@@ -125,30 +124,30 @@ type summary struct {
 	// with -adaptive: the controller's final ladder level, intervention
 	// counters, the per-k admission histogram and the per-level dwell
 	// times in ticks.
-	ControlLevel       string           `json:"control_level,omitempty"`
-	ControlPaced       int64            `json:"control_paced,omitempty"`
-	ControlPaceTicks   int64            `json:"control_pace_ticks,omitempty"`
-	ControlGated       int64            `json:"control_gated,omitempty"`
-	ControlRefused     int64            `json:"control_refused,omitempty"`
-	ControlRTOChanges  int64            `json:"control_rto_changes,omitempty"`
-	ControlEvictions   int64            `json:"control_evictions,omitempty"`
-	ControlRetires     int64            `json:"control_retires,omitempty"`
-	ControlKHist       map[string]int64 `json:"control_k_histogram,omitempty"`
-	ControlDwell       map[string]int64 `json:"control_level_dwell_ticks,omitempty"`
+	ControlLevel      string           `json:"control_level,omitempty"`
+	ControlPaced      int64            `json:"control_paced,omitempty"`
+	ControlPaceTicks  int64            `json:"control_pace_ticks,omitempty"`
+	ControlGated      int64            `json:"control_gated,omitempty"`
+	ControlRefused    int64            `json:"control_refused,omitempty"`
+	ControlRTOChanges int64            `json:"control_rto_changes,omitempty"`
+	ControlEvictions  int64            `json:"control_evictions,omitempty"`
+	ControlRetires    int64            `json:"control_retires,omitempty"`
+	ControlKHist      map[string]int64 `json:"control_k_histogram,omitempty"`
+	ControlDwell      map[string]int64 `json:"control_level_dwell_ticks,omitempty"`
 	// Cross-family selection (this PR): the candidate the controller is
 	// currently admitting under ("" = the native family) and how many
 	// times it crossed a family boundary.
 	ControlSelected    string `json:"control_selected,omitempty"`
 	ControlFamSwitches int64  `json:"control_family_switches,omitempty"`
-	StoreDir           string           `json:"store_dir,omitempty"`
-	Resumed            int64            `json:"resumed,omitempty"`
-	JournalSaves       int64            `json:"journal_saves,omitempty"`
-	JournalSaveErrors  int64            `json:"journal_save_errors,omitempty"`
-	JournalReplayed    int64            `json:"journal_replayed,omitempty"`
-	JournalTruncations int64            `json:"journal_truncations,omitempty"`
-	JournalCompactions int64            `json:"journal_compactions,omitempty"`
-	JournalSizeBytes   int64            `json:"journal_size_bytes,omitempty"`
-	JournalKeys        int64            `json:"journal_keys,omitempty"`
+	StoreDir           string `json:"store_dir,omitempty"`
+	Resumed            int64  `json:"resumed,omitempty"`
+	JournalSaves       int64  `json:"journal_saves,omitempty"`
+	JournalSaveErrors  int64  `json:"journal_save_errors,omitempty"`
+	JournalReplayed    int64  `json:"journal_replayed,omitempty"`
+	JournalTruncations int64  `json:"journal_truncations,omitempty"`
+	JournalCompactions int64  `json:"journal_compactions,omitempty"`
+	JournalSizeBytes   int64  `json:"journal_size_bytes,omitempty"`
+	JournalKeys        int64  `json:"journal_keys,omitempty"`
 }
 
 func run(args []string, out io.Writer) error {
@@ -464,7 +463,6 @@ func run(args []string, out io.Writer) error {
 		sum.Sends += res.TX.Sends + res.RX.Sends
 		sum.Deliveries += res.TX.Deliveries + res.RX.Deliveries
 		sum.Writes += res.RX.Writes
-		sum.Overflow += res.TX.Overflow + res.RX.Overflow
 		sum.SendErrors += res.TX.SendErrors + res.RX.SendErrors
 		// Effort statistics are over completed sessions only (the schema's
 		// documented population): an incomplete session's last send tick

@@ -150,12 +150,16 @@ func TestServeChaosOverUDP(t *testing.T) {
 func TestServeWatchdogReportsWedged(t *testing.T) {
 	// A blackout that starts after session establishment and never heals:
 	// every session wedges, the watchdog retires them all, and the run
-	// itself fails because the transfers really are incomplete.
+	// itself fails because the transfers really are incomplete. With
+	// steps on exact ticks the sessions finish about 240 ticks after they
+	// start, so the blackout starts at tick 60, inside every transfer. The
+	// 500 µs tick keeps the stack's set-up, which runs on the same clock
+	// before the first session starts, to a few ticks.
 	var out strings.Builder
 	err := run([]string{
 		"-sessions", "3", "-harden", "-chaos", "-watchdog", "4",
-		"-blackout", "400:999999999", "-timeout", "20s",
-		"-tick", "50us",
+		"-blackout", "60:999999999", "-timeout", "20s",
+		"-tick", "500us",
 	}, &out)
 	if err == nil {
 		t.Fatalf("wedged run should report incomplete sessions:\n%s", out.String())

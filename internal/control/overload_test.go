@@ -98,7 +98,6 @@ func runOverloadSoak(t testing.TB, adaptive bool, workers int, dur, perSession t
 		Transport: res,
 		Clock:     clock,
 		Obs:       reg,
-		Buffer:    32,
 	}
 	srvCfg, dlrCfg := base, base
 	srvCfg.MaxSessions = soakServerSlots

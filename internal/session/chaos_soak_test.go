@@ -37,7 +37,6 @@ func TestSoakChaosOverUDP(t *testing.T) {
 	chaos := transport.NewChaos(udp, clock, plan)
 	hs := rstp.Harden(mustBeta(t, 4), rstp.HardenOptions{})
 	cfg := testConfig(t, hs, chaos, clock)
-	cfg.Buffer = 256
 	// The pipe evicts each session explicitly (the rstpserve setting).
 	// Idle eviction must stay off: the hardened layer's capped backoff
 	// can legally go quiet for 16·RTO ≈ 816 ticks, longer than the

@@ -22,7 +22,8 @@ type Dialer struct {
 	stray    int             // r->t frames with no active session
 }
 
-// NewDialer validates the config and starts the r->t demux loop.
+// NewDialer validates the config, joins the clock's step loop and starts
+// the r->t demux loop.
 func NewDialer(cfg Config) (*Dialer, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -34,26 +35,25 @@ func NewDialer(cfg Config) (*Dialer, error) {
 		reserved: make(map[uint32]bool),
 	}
 	d.instrument(cfg.metrics)
-	d.demux(wire.RtoT, d.route)
+	d.serve(wire.RtoT, d.route)
 	return d, nil
 }
 
-// route delivers an r->t frame to its open session, counting it as stray
+// route queues an r->t frame for its open session, counting it as stray
 // when there is none.
 func (d *Dialer) route(f wire.Frame) {
 	d.mu.Lock()
-	ep := d.active[f.Session]
-	if ep == nil {
+	defer d.mu.Unlock()
+	if ep := d.active[f.Session]; ep != nil {
+		d.enqueueLocked(ep, f)
+	} else {
 		d.stray++
-	}
-	d.mu.Unlock()
-	if ep != nil {
-		ep.deliver(f)
 	}
 }
 
 // Conn is one open transmitter-side session.
 type Conn struct {
+	d  *Dialer
 	ep *endpoint
 	x  []wire.Bit
 }
@@ -67,12 +67,9 @@ func (c *Conn) X() []wire.Bit { return append([]wire.Bit(nil), c.x...) }
 // Report snapshots the transmitter endpoint.
 func (c *Conn) Report() Report { return c.ep.snapshot() }
 
-// Close stops the session's loop and waits for it to retire, which
-// releases its backpressure slot. Idempotent.
-func (c *Conn) Close() {
-	c.ep.halt()
-	<-c.ep.stopped
-}
+// Close retires the session, which releases its backpressure slot.
+// Idempotent.
+func (c *Conn) Close() { c.d.stop(c.ep) }
 
 // Start opens a new session for input x. It blocks while MaxSessions
 // sessions are already open — the backpressure contract — until a slot
@@ -126,14 +123,16 @@ func (d *Dialer) start(ctx context.Context, id uint32, x []wire.Bit) (*Conn, err
 	var ep *endpoint
 	if err == nil {
 		ep = newEndpoint(d.cfg, id, "transmitter", t, &d.seq)
-		d.runLocked(ep, false, release)
+		if !d.registerLocked(ep, false, release) {
+			err = fmt.Errorf("session: dialer closed")
+		}
 	}
 	d.mu.Unlock()
 	if err != nil {
 		release()
 		return nil, err
 	}
-	return &Conn{ep: ep, x: append([]wire.Bit(nil), x...)}, nil
+	return &Conn{d: d, ep: ep, x: append([]wire.Bit(nil), x...)}, nil
 }
 
 // admit runs the control plane's admission for a reserved ID and builds

@@ -21,7 +21,7 @@ type sessionMetrics struct {
 	deliveries *obs.Counter
 	writes     *obs.Counter
 	rejected   *obs.Counter
-	overflow   *obs.Counter
+	skipped    *obs.Counter
 	sendErrs   *obs.Counter
 	evicted    *obs.Counter
 	wedged     *obs.Counter
@@ -57,7 +57,7 @@ func newSessionMetrics(reg *obs.Registry, p rstp.Params, bound float64) *session
 		deliveries: reg.Counter("rstp_session_deliveries_total", "delivered frames accepted by session automata"),
 		writes:     reg.Counter("rstp_session_writes_total", "messages written to receiver output tapes"),
 		rejected:   reg.Counter("rstp_session_rejected_total", "delivered frames refused by an automaton's signature"),
-		overflow:   reg.Counter("rstp_session_overflow_total", "frames dropped on a full per-session inbox"),
+		skipped:    reg.Counter("rstp_session_steps_skipped_total", "grid ticks a due endpoint missed because the step loop ran late"),
 		sendErrs:   reg.Counter("rstp_session_send_errors_total", "transport send failures (counted as channel loss)"),
 		evicted:    reg.Counter("rstp_sessions_evicted_total", "sessions torn down by the idle monitor"),
 		wedged:     reg.Counter("rstp_sessions_wedged_total", "sessions force-retired by the progress watchdog"),
@@ -112,11 +112,11 @@ func (m *sessionMetrics) onReject() {
 	m.rejected.Inc()
 }
 
-func (m *sessionMetrics) onOverflow() {
+func (m *sessionMetrics) onSkip(n int64) {
 	if m == nil {
 		return
 	}
-	m.overflow.Inc()
+	m.skipped.Add(n)
 }
 
 // onWrite observes one output write. prev is the tick of the previous

@@ -3,7 +3,6 @@ package session
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/wire"
 )
@@ -20,7 +19,8 @@ type Server struct {
 	shed    int // sessions force-retired by the overload policy
 }
 
-// NewServer validates the config and starts the demux loop.
+// NewServer validates the config, joins the clock's step loop and starts
+// the demux loop.
 func NewServer(cfg Config) (*Server, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -28,14 +28,18 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s := &Server{mux: newMux(cfg)}
 	s.instrument(cfg.metrics)
-	s.demux(wire.TtoR, s.route)
+	s.serve(wire.TtoR, s.route)
 	return s, nil
 }
 
-// route delivers a t->r frame to its session, spawning receiver state on
+// route queues a t->r frame for its session, spawning receiver state on
 // first contact.
 func (s *Server) route(f wire.Frame) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return
+	}
 	ep := s.active[f.Session]
 	if ep == nil {
 		// Retired and retiring IDs are tombstoned: frames of a retired
@@ -45,27 +49,24 @@ func (s *Server) route(f wire.Frame) {
 		// idle eviction (forever with IdleTicks disabled) and shadow the
 		// real session's report. A force-retired session's slot frees
 		// before its report lands in finished, so retiring covers the gap.
-		if _, done := s.finished[f.Session]; done || s.retiring[f.Session] {
+		if _, done := s.finished[f.Session]; done || s.retiring[f.Session] != nil {
 			s.late++
-			s.mu.Unlock()
 			s.cfg.metrics.onLate(s.cfg.Clock.Now(), f.Session)
 			return
 		}
 		if ep = s.spawnLocked(f.Session); ep == nil {
 			s.refused++
-			s.mu.Unlock()
 			s.cfg.metrics.onRefuse(s.cfg.Clock.Now(), f.Session)
 			return
 		}
 	}
-	s.mu.Unlock()
-	ep.deliver(f)
+	s.enqueueLocked(ep, f)
 }
 
-// spawnLocked builds a receiver endpoint for a new session and starts its
-// loop, or returns nil when the session is refused: by the control plane,
-// at the MaxSessions cap (unless the shed policy frees a slot), or because
-// its pair cannot be built. Callers hold s.mu.
+// spawnLocked builds a receiver endpoint for a new session and registers
+// it with the step loop, or returns nil when the session is refused: by
+// the control plane, at the MaxSessions cap (unless the shed policy frees
+// a slot), or because its pair cannot be built. Callers hold s.mu.
 func (s *Server) spawnLocked(id uint32) *endpoint {
 	// The control plane's refuse gate runs before the capacity check: at
 	// the escalation ladder's refuse level and above, brand-new sessions
@@ -95,16 +96,16 @@ func (s *Server) spawnLocked(id uint32) *endpoint {
 			s.cfg.metrics.onResume()
 		}
 	}
-	s.runLocked(ep, true, nil)
+	s.registerLocked(ep, true, nil)
 	return ep
 }
 
 // retireOldestLocked force-retires the active session whose key (read
 // under its endpoint lock) is smallest, after mark records the cause.
-// The victim's slot is released immediately — its goroutine retires it
-// in the background, with the retiring set holding the tombstone until
-// the report lands in finished. Callers hold s.mu; returns false when no
-// session is active.
+// The victim's slot is released immediately — the step loop retires it
+// at the next grid tick, with the retiring set holding the tombstone
+// until the report lands in finished. Callers hold s.mu; returns false
+// when no session is active.
 func (s *Server) retireOldestLocked(key func(*endpoint) int64, mark func(*endpoint)) bool {
 	var (
 		victim *endpoint
@@ -122,7 +123,7 @@ func (s *Server) retireOldestLocked(key func(*endpoint) int64, mark func(*endpoi
 		return false
 	}
 	delete(s.active, victim.id)
-	s.retiring[victim.id] = true
+	s.retiring[victim.id] = victim
 	mark(victim)
 	victim.halt()
 	return true
@@ -171,7 +172,7 @@ func (s *Server) ActiveCount() int {
 
 // Snapshot returns the current report for a session — active or finished.
 func (s *Server) Snapshot(id uint32) (Report, bool) {
-	rep, _, ok := s.report(id)
+	rep, _, ok := s.report(id, false)
 	return rep, ok
 }
 
@@ -201,39 +202,33 @@ func (s *Server) Shed() int {
 
 // WaitWrites blocks until session id has written at least n messages,
 // returning its report. It tolerates the session not existing yet
-// (frames may still be in flight).
+// (frames may still be in flight): it then waits for the server to
+// spawn it. It wakes only on the session's writes, its retirement, a
+// spawn, ctx or Close.
 func (s *Server) WaitWrites(ctx context.Context, id uint32, n int) (Report, error) {
-	poll := time.NewTicker(2 * time.Millisecond)
-	defer poll.Stop()
 	for {
-		rep, notify, known := s.report(id)
+		rep, changed, known := s.report(id, true)
 		if known && rep.Writes >= n {
 			return rep, nil
 		}
 		if known && rep.Finished {
 			return rep, fmt.Errorf("session: session %d ended with %d of %d writes", id, rep.Writes, n)
 		}
-		if notify == nil {
-			notify = make(chan struct{}) // unknown session: pure polling
-		}
 		select {
 		case <-ctx.Done():
 			return rep, ctx.Err()
 		case <-s.done:
 			return rep, fmt.Errorf("session: server closed waiting on session %d", id)
-		case <-notify:
-		case <-poll.C:
+		case <-changed:
 		}
 	}
 }
 
-// Evict stops a session's endpoint (if active) and waits for it to
-// retire, returning its final report. The session's slot is free by the
-// time Evict returns.
+// Evict retires a session's endpoint (if active) and returns its final
+// report. The session's slot is free by the time Evict returns.
 func (s *Server) Evict(id uint32) (Report, bool) {
 	if ep := s.lookup(id); ep != nil {
-		ep.halt()
-		<-ep.stopped
+		s.stop(ep)
 	}
 	return s.Snapshot(id)
 }
@@ -257,9 +252,9 @@ type Aggregate struct {
 	// at the tombstone; Shed counts overload evictions performed (server
 	// side only).
 	Refused, Late, Shed int
-	// Sends, Deliveries, Writes, Rejected, Overflow and SendErrors sum
-	// the endpoint counters.
-	Sends, Deliveries, Writes, Rejected, Overflow, SendErrors int
+	// Sends, Deliveries, Writes, Rejected and SendErrors sum the endpoint
+	// counters.
+	Sends, Deliveries, Writes, Rejected, SendErrors int
 }
 
 func aggregate(cfg Config, reports []Report, refused, late, shed int) Aggregate {
@@ -283,7 +278,6 @@ func aggregate(cfg Config, reports []Report, refused, late, shed int) Aggregate 
 		agg.Deliveries += r.Deliveries
 		agg.Writes += r.Writes
 		agg.Rejected += r.Rejected
-		agg.Overflow += r.Overflow
 		agg.SendErrors += r.SendErrors
 	}
 	return agg
@@ -291,7 +285,7 @@ func aggregate(cfg Config, reports []Report, refused, late, shed int) Aggregate 
 
 // String renders the aggregate as one report line.
 func (a Aggregate) String() string {
-	return fmt.Sprintf("%s over %s: %d sessions (%d active, %d evicted, %d wedged, %d shed, %d refused, %d late), %d sends (%d errored), %d deliveries, %d writes, %d rejected, %d overflow",
+	return fmt.Sprintf("%s over %s: %d sessions (%d active, %d evicted, %d wedged, %d shed, %d refused, %d late), %d sends (%d errored), %d deliveries, %d writes, %d rejected",
 		a.Proto, a.Transport, a.Sessions, a.Active, a.Evicted, a.Wedged, a.Shed, a.Refused, a.Late,
-		a.Sends, a.SendErrors, a.Deliveries, a.Writes, a.Rejected, a.Overflow)
+		a.Sends, a.SendErrors, a.Deliveries, a.Writes, a.Rejected)
 }

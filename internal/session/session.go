@@ -6,27 +6,30 @@
 // lives in a Dialer and whose receiver automaton lives in a Server,
 // connected by a shared transport.Transport that frames every packet
 // with the session ID (wire.Frame). Both ends are driven off one shared
-// real-time Clock: every endpoint takes one local protocol step each
-// StepGap ticks, with C1 <= StepGap <= C2, so the paper's step-bound
-// assumption Σ(At, Ar) is honored by construction (up to OS scheduler
-// jitter, which can only stretch gaps — see DESIGN.md).
+// real-time Clock: no endpoint takes two local protocol steps less than
+// StepGap ticks apart, with C1 <= StepGap <= C2, so the paper's
+// step-bound assumption Σ(At, Ar) holds on its safe side by
+// construction; a late host can only stretch gaps (see DESIGN.md).
 //
 // Concurrency layout, kept deliberately simple so it is race-clean under
 // `go test -race`:
 //
-//   - one demux goroutine per Server/Dialer, routing delivered frames to
-//     per-session inboxes;
-//   - one goroutine per session endpoint, owning its automaton: all
-//     Apply/NextLocal calls happen there, serialised with incoming frames
-//     through a select loop;
+//   - one demux goroutine per Server/Dialer, queueing each delivered
+//     frame for its session in arrival order — never dropping one;
+//   - one step loop per Clock (transport.Clock.Subscribe), shared by
+//     every Server and Dialer on it. At each grid tick (a multiple of
+//     StepGap) it has each side apply its queued frames, then step every
+//     endpoint that is due, then run the idle-evict and watchdog checks.
+//     The loop owns every automaton: all Apply/NextLocal calls happen
+//     there;
 //   - counters guarded by a per-endpoint mutex, snapshotted into
 //     immutable Reports for readers; the only per-session event trace is
 //     the registry's bounded, opt-in obs.Tracer ring (Config.Obs).
 //
-// Both sides share one lifecycle (mux): an endpoint's goroutine retires
-// it — report recorded, slot freed, control plane told — before the
-// endpoint counts as stopped, so Server.Evict and Conn.Close return with
-// the slot already free.
+// Both sides share one lifecycle (mux): an endpoint retires — report
+// recorded, slot freed, control plane told — before it counts as
+// stopped, and never during a grid tick, so Server.Evict and Conn.Close
+// return with the slot already free.
 //
 // Backpressure is a Dialer-side semaphore of MaxSessions slots (Start
 // blocks until a slot frees or the context is done); the Server
@@ -41,7 +44,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/ioa"
 	"repro/internal/obs"
@@ -85,9 +87,9 @@ type TapeResumer interface {
 // Resyncer is the optional resynchronization hook a session automaton
 // may expose (the stabilized layer's endpoints do): the watchdog pulls
 // it once before force-retiring a wedged session, giving the protocol a
-// chance to heal in place. The call happens on the endpoint's loop
-// goroutine, which owns the automaton, so implementations need no
-// locking of their own.
+// chance to heal in place. The call happens on the clock's step loop,
+// which owns the automaton, so implementations need no locking of their
+// own.
 type Resyncer interface {
 	ForceResync()
 }
@@ -183,9 +185,6 @@ type Config struct {
 	// IdleTicks evicts a receiver session after this many ticks without
 	// traffic (default 64·D; <0 disables eviction).
 	IdleTicks int64
-	// Buffer is the per-session inbox capacity (default 64). A full inbox
-	// drops frames — the mux never blocks its demux loop on one session.
-	Buffer int
 	// Shed selects the Server's overload policy at the MaxSessions
 	// high-water mark (default ShedRefuse).
 	Shed ShedPolicy
@@ -262,9 +261,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.IdleTicks == 0 {
 		c.IdleTicks = 64 * c.Params.D
 	}
-	if c.Buffer <= 0 {
-		c.Buffer = 64
-	}
 	if c.WatchdogTicks <= 0 && c.WatchdogK > 0 {
 		c.WatchdogTicks = int64(c.WatchdogK) * int64(c.Params.Delta1()) * c.Params.C2
 	}
@@ -325,10 +321,8 @@ type Report struct {
 	// Start is the tick the endpoint was created.
 	Start int64
 	// Sends, Deliveries and Writes count protocol events so far; Rejected
-	// counts delivered frames the automaton's signature refused and
-	// Overflow frames dropped on a full inbox.
-	Sends, Deliveries, Writes int
-	Rejected, Overflow        int
+	// counts delivered frames the automaton's signature refused.
+	Sends, Deliveries, Writes, Rejected int
 	// SendErrors counts Transport.Send failures. They are non-fatal — a
 	// failed send is channel loss, which the protocols retransmit around —
 	// except transport.ErrClosed, which stops the endpoint.
@@ -354,7 +348,7 @@ type Report struct {
 	// Resyncs counts watchdog-triggered ForceResync calls into the
 	// automaton (at most one per session).
 	Resyncs int
-	// Finished reports the endpoint's goroutine has exited.
+	// Finished reports the endpoint has retired.
 	Finished bool
 }
 
@@ -381,9 +375,9 @@ func PrefixCheck(x, y []wire.Bit) string {
 	return ""
 }
 
-// endpoint is one side of one session: an automaton, its inbox, and its
-// counters. The loop goroutine owns the automaton; the mutex guards only
-// the counters.
+// endpoint is one side of one session: an automaton and its counters.
+// The clock's step loop owns the automaton; the mutex guards only the
+// counters.
 type endpoint struct {
 	id      uint32
 	role    string
@@ -393,11 +387,11 @@ type endpoint struct {
 	side    int64         // seq parity: 1 = transmitter side (odd seqs), 0 = receiver (even)
 	tapeKey string        // durable output-tape key; "" disables tape persistence
 
-	in      chan wire.Frame
-	stop    chan struct{}
-	stopped chan struct{} // closed once the endpoint has exited and retired
-	notify  chan struct{} // pulsed on every write
-	stopOne sync.Once
+	evictIdle bool   // receiver: run the idle-evict and watchdog checks
+	release   func() // run once retired (the dialer's semaphore slot); nil on the server
+	halted    atomic.Bool
+	stopped   chan struct{} // closed once the endpoint has retired
+	due       int64         // first tick the next step may run at; owned by the step loop
 
 	mu           sync.Mutex
 	start        int64
@@ -405,7 +399,6 @@ type endpoint struct {
 	deliveries   int
 	writes       int
 	rejected     int
-	overflow     int
 	sendErrs     int
 	lastErr      error
 	lastSend     int64
@@ -419,6 +412,7 @@ type endpoint struct {
 	shed         bool
 	resyncs      int
 	finished     bool
+	changed      chan struct{} // closed at the next write or retirement; nil until watched
 }
 
 func newEndpoint(cfg Config, id uint32, role string, auto ioa.Automaton, seq *atomic.Int64) *endpoint {
@@ -437,11 +431,8 @@ func newEndpoint(cfg Config, id uint32, role string, auto ioa.Automaton, seq *at
 		cfg:     cfg,
 		seq:     seq,
 		side:    side,
-		in:      make(chan wire.Frame, cfg.Buffer),
-		stop:    make(chan struct{}),
 		stopped: make(chan struct{}),
-		notify:  make(chan struct{}, 1),
-		mu:      sync.Mutex{},
+		due:     now,
 		start:   now, lastActivity: now, lastProgress: now,
 	}
 }
@@ -449,7 +440,7 @@ func newEndpoint(cfg Config, id uint32, role string, auto ioa.Automaton, seq *at
 // resumeTape seeds a freshly spawned receiver endpoint with the output
 // tape a previous incarnation persisted, and tells the automaton (via
 // TapeResumer) how many messages are already durable so its recovery
-// REPORT counts them. Called before the loop goroutine starts.
+// REPORT counts them. Called before the endpoint is registered.
 func (e *endpoint) resumeTape(y []wire.Bit) {
 	e.mu.Lock()
 	e.y = append([]wire.Bit(nil), y...)
@@ -461,8 +452,8 @@ func (e *endpoint) resumeTape(y []wire.Bit) {
 	}
 }
 
-// markShed flags the endpoint as an overload-policy victim before its
-// loop is halted, so retirement records the right cause.
+// markShed flags the endpoint as an overload-policy victim before it is
+// halted, so retirement records the right cause.
 func (e *endpoint) markShed() {
 	e.mu.Lock()
 	e.shed = true
@@ -471,7 +462,7 @@ func (e *endpoint) markShed() {
 }
 
 // markWedged flags the endpoint as force-retired for lack of output
-// progress before its loop is halted — the watchdog's verdict, also
+// progress before it is halted — the watchdog's verdict, also
 // reachable on demand through the control plane's last escalation rung.
 func (e *endpoint) markWedged() {
 	now := e.cfg.Clock.Now()
@@ -482,69 +473,63 @@ func (e *endpoint) markWedged() {
 	e.cfg.metrics.onWedge(now, e.id, silent)
 }
 
-// halt asks the loop to exit; idempotent.
-func (e *endpoint) halt() { e.stopOne.Do(func() { close(e.stop) }) }
+// halt asks the step loop to retire the endpoint at its next grid tick
+// instead of stepping it: the force-retire path, taken under the side's
+// lock, which mux.stop cannot be; idempotent.
+func (e *endpoint) halt() { e.halted.Store(true) }
 
-// deliver routes a frame into the inbox without ever blocking the caller.
-func (e *endpoint) deliver(f wire.Frame) {
-	select {
-	case e.in <- f:
-	default:
-		e.mu.Lock()
-		e.overflow++
-		e.mu.Unlock()
-		e.cfg.metrics.onOverflow()
+// tick runs the endpoint's share of a grid tick: nothing before its due
+// tick, else one local step followed, on the receiver side, by the
+// idle-evict and watchdog checks. It returns false when the endpoint
+// must retire.
+//
+// The gap rule: a step makes the endpoint due StepGap ticks after the
+// tick the step ended in, and it steps at the first grid tick whose
+// round reaches it at or after that tick. So no two steps are ever
+// closer than StepGap, however late the loop runs, and a late loop
+// steps each endpoint once instead of catching up. The due tick is not
+// rounded up to the grid: a round that crosses a tick boundary would
+// then cost each endpoint after the crossing a whole extra grid period.
+func (e *endpoint) tick() bool {
+	now := e.cfg.Clock.Now()
+	if now < e.due {
+		return true
 	}
-}
-
-// loop drives the endpoint: one local protocol step per StepGap ticks,
-// frames applied as they arrive, idle eviction for receivers. ownerDone
-// is the owning Server/Dialer's shutdown signal.
-func (e *endpoint) loop(ownerDone <-chan struct{}, evictIdle bool) {
-	ticker := time.NewTicker(e.cfg.Clock.Ticks(e.cfg.StepGap))
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ownerDone:
-			return
-		case <-e.stop:
-			return
-		case f := <-e.in:
-			e.onFrame(f)
-		case <-ticker.C:
-			if !e.step() {
-				return
-			}
-			if evictIdle && e.cfg.IdleTicks > 0 {
-				now := e.cfg.Clock.Now()
-				e.mu.Lock()
-				idle := now-e.lastActivity > e.cfg.IdleTicks
-				if idle {
-					e.evicted = true
-				}
-				e.mu.Unlock()
-				if idle {
-					e.cfg.metrics.onEvict(now, e.id)
-					return
-				}
-			}
-			if evictIdle && e.cfg.WatchdogTicks > 0 && !e.watchdog() {
-				return
-			}
+	if skipped := (now - e.due) / e.cfg.StepGap; skipped > 0 {
+		e.cfg.metrics.onSkip(skipped)
+	}
+	if !e.step() {
+		return false
+	}
+	now = e.cfg.Clock.Now()
+	e.due = now + e.cfg.StepGap
+	if !e.evictIdle {
+		return true
+	}
+	if e.cfg.IdleTicks > 0 {
+		e.mu.Lock()
+		idle := now-e.lastActivity > e.cfg.IdleTicks
+		if idle {
+			e.evicted = true
+		}
+		e.mu.Unlock()
+		if idle {
+			e.cfg.metrics.onEvict(now, e.id)
+			return false
 		}
 	}
+	return e.cfg.WatchdogTicks <= 0 || e.watchdog(now)
 }
 
-// watchdog is the per-session progress check, run on the loop goroutine
-// each step for server-side endpoints: a session whose output tape grew
+// watchdog is the per-session progress check, run on the step loop after
+// each step of a server-side endpoint: a session whose output tape grew
 // by nothing for WatchdogTicks is wedged. With WatchdogResync set and an
 // automaton that implements Resyncer, the first trip instead forces a
 // protocol resynchronization and re-arms the window, so a session the
 // stabilized layer can still heal gets exactly one wedge-window-long
 // chance before the force-retire. Returns false when the endpoint must
 // retire.
-func (e *endpoint) watchdog() bool {
-	now := e.cfg.Clock.Now()
+func (e *endpoint) watchdog(now int64) bool {
 	e.mu.Lock()
 	if now-e.lastProgress <= e.cfg.WatchdogTicks {
 		e.mu.Unlock()
@@ -556,8 +541,8 @@ func (e *endpoint) watchdog() bool {
 			e.lastProgress = now // re-arm: one full window to heal
 			e.mu.Unlock()
 			e.cfg.metrics.onResync(now, e.id)
-			// The loop goroutine owns the automaton; calling in outside
-			// e.mu keeps the lock ordering trivial.
+			// The step loop owns the automaton; calling in outside e.mu
+			// keeps the lock ordering trivial.
 			rs.ForceResync()
 			return true
 		}
@@ -603,8 +588,8 @@ func (e *endpoint) step() bool {
 		return true // terminated protocol: keep serving recvs until stopped
 	}
 	if err := e.auto.Apply(act); err != nil {
-		// A race between precondition and Apply cannot happen — the loop
-		// goroutine owns the automaton — so treat this as a protocol bug
+		// A race between precondition and Apply cannot happen — the step
+		// loop owns the automaton — so treat this as a protocol bug
 		// surfaced in counters rather than a crash.
 		e.mu.Lock()
 		e.rejected++
@@ -649,18 +634,37 @@ func (e *endpoint) step() bool {
 		e.mu.Unlock()
 		if tape != nil {
 			// Durable before observable: the tape reaches stable storage
-			// before the write is announced through notify/metrics, so a
+			// before the write is announced to watchers and metrics, so a
 			// crash can lose an unannounced write but never expose one it
 			// might roll back — write(m) stays irrevocable.
 			e.cfg.Store.Save(e.tapeKey, tape)
 		}
 		e.cfg.metrics.onWrite(now, e.id, prevWrite, e.start)
-		select {
-		case e.notify <- struct{}{}:
-		default:
-		}
+		e.mu.Lock()
+		e.signalLocked()
+		e.mu.Unlock()
 	}
 	return true
+}
+
+// signalLocked wakes every watcher of the endpoint. Callers hold e.mu.
+func (e *endpoint) signalLocked() {
+	if e.changed != nil {
+		close(e.changed)
+		e.changed = nil
+	}
+}
+
+// watch snapshots the endpoint together with a channel closed at its
+// next write or retirement, in one critical section so no change falls
+// between the two.
+func (e *endpoint) watch() (Report, <-chan struct{}) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.changed == nil {
+		e.changed = make(chan struct{})
+	}
+	return e.snapshotLocked(), e.changed
 }
 
 // snapshot captures the endpoint's counters and a copy of its output
@@ -668,10 +672,14 @@ func (e *endpoint) step() bool {
 func (e *endpoint) snapshot() Report {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.snapshotLocked()
+}
+
+func (e *endpoint) snapshotLocked() Report {
 	r := Report{
 		ID: e.id, Role: e.role, Start: e.start,
 		Sends: e.sends, Deliveries: e.deliveries, Writes: e.writes,
-		Rejected: e.rejected, Overflow: e.overflow,
+		Rejected:   e.rejected,
 		SendErrors: e.sendErrs,
 		LastSend:   e.lastSend, LastWrite: e.lastWrite,
 		Resumed: e.resumed,
@@ -685,10 +693,13 @@ func (e *endpoint) snapshot() Report {
 	return r
 }
 
-// markFinished flags the endpoint's loop as exited (set by its goroutine
-// right before retirement).
-func (e *endpoint) markFinished() {
+// finish flags the endpoint retired, wakes its watchers and returns its
+// final report.
+func (e *endpoint) finish() Report {
+	e.halted.Store(true)
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.finished = true
-	e.mu.Unlock()
+	e.signalLocked()
+	return e.snapshotLocked()
 }

@@ -140,6 +140,7 @@ type Resilient struct {
 	gen       int          // bumped on every successful redial
 	fails     int          // consecutive Send failures
 	state     BreakerState // breaker state
+	moves     int          // breaker transitions so far
 	probeAt   int64
 	innerDead bool // redial exhausted or impossible
 	closed    bool
@@ -261,7 +262,7 @@ func (r *Resilient) Send(f wire.Frame) error {
 		r.fastFails.Add(1)
 		return ErrBreakerOpen
 	}
-	inner, gen := r.inner, r.gen
+	inner, gen, moves := r.inner, r.gen, r.moves
 	r.mu.Unlock()
 
 	err := r.sendWithRetry(inner, gen, f)
@@ -270,6 +271,12 @@ func (r *Resilient) Send(f wire.Frame) error {
 	defer r.mu.Unlock()
 	if r.closed {
 		return ErrClosed
+	}
+	if r.moves != moves {
+		// The breaker moved while this send was in flight: its outcome
+		// belongs to a state that is gone, so it must not skip half-open
+		// or re-open a breaker the probe has just closed.
+		return err
 	}
 	if err == nil {
 		r.fails = 0
@@ -296,6 +303,7 @@ func (r *Resilient) setStateLocked(to BreakerState) {
 	}
 	from := r.state
 	r.state = to
+	r.moves++
 	if to == BreakerOpen {
 		r.breakerOpens.Add(1)
 	}

@@ -26,6 +26,7 @@ package transport
 
 import (
 	"errors"
+	"sync"
 	"time"
 
 	"repro/internal/wire"
@@ -60,9 +61,17 @@ var ErrClosed = errors.New("transport: closed")
 // half-open interval [start + n·Tick, start + (n+1)·Tick). One Clock is
 // shared by a transport and every session driven over it, so step bounds
 // (c1, c2) and the delay bound d are measured against the same time base.
+//
+// A Clock also owns the step loop that drives its subscribers (see
+// Subscribe); it runs only while some subscriber is registered.
 type Clock struct {
 	start time.Time
 	tick  time.Duration
+
+	mu      sync.Mutex
+	subs    []*Subscription
+	running bool          // the step loop goroutine is alive
+	kick    chan struct{} // wakes an idle step loop
 }
 
 // DefaultTick is the default physical length of one model tick.
@@ -74,7 +83,7 @@ func NewClock(tick time.Duration) *Clock {
 	if tick <= 0 {
 		tick = DefaultTick
 	}
-	return &Clock{start: time.Now(), tick: tick}
+	return &Clock{start: time.Now(), tick: tick, kick: make(chan struct{}, 1)}
 }
 
 // Tick returns the physical length of one tick.
